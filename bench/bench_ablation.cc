@@ -64,11 +64,11 @@ void AblationTemporal() {
     std::vector<ldv::trace::NodeId> proc_nodes;
     for (int i = 0; i < files; ++i) {
       file_nodes.push_back(g.GetOrAddNode(ldv::trace::NodeType::kFile,
-                                          "f" + std::to_string(i)));
+                                          'f' + std::to_string(i)));
     }
     for (int i = 0; i < files / 3 + 1; ++i) {
       proc_nodes.push_back(g.GetOrAddNode(ldv::trace::NodeType::kProcess,
-                                          "p" + std::to_string(i)));
+                                          'p' + std::to_string(i)));
     }
     int events = files * 4;
     for (int i = 0; i < events; ++i) {

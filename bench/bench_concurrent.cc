@@ -52,7 +52,7 @@ bool FillDatabase(LocalDbClient* client) {
     std::string sql = "INSERT INTO wide VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 97) + "," +
+      sql += '(' + std::to_string(i) + "," + std::to_string(i % 97) + "," +
              std::to_string(i % 1000) + ")";
     }
     if (!client->Query(sql).ok()) return false;

@@ -160,11 +160,11 @@ ldv::trace::TraceGraph* BenchTrace(int files) {
   std::vector<ldv::trace::NodeId> procs;
   for (int i = 0; i < files; ++i) {
     file_nodes.push_back(g->GetOrAddNode(ldv::trace::NodeType::kFile,
-                                         "f" + std::to_string(i)));
+                                         'f' + std::to_string(i)));
   }
   for (int i = 0; i < files / 2; ++i) {
     procs.push_back(g->GetOrAddNode(ldv::trace::NodeType::kProcess,
-                                    "p" + std::to_string(i)));
+                                    'p' + std::to_string(i)));
   }
   for (int i = 0; i < files * 4; ++i) {
     auto f = file_nodes[static_cast<size_t>(rng.Uniform(0, files - 1))];

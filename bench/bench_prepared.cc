@@ -57,7 +57,7 @@ bool FillDatabase(LocalDbClient* client) {
   std::string sql = "INSERT INTO items VALUES ";
   for (int i = 0; i < kRows; ++i) {
     if (i > 0) sql += ",";
-    sql += "(" + std::to_string(i) + "," + std::to_string(i % 8) + "," +
+    sql += '(' + std::to_string(i) + "," + std::to_string(i % 8) + "," +
            std::to_string(i % 100) + ",'row" + std::to_string(i % 10) + "')";
   }
   return client->Query(sql).ok();

@@ -45,7 +45,7 @@ bool Fill(Executor* exec) {
     std::string sql = "INSERT INTO t VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 97) + "," +
+      sql += '(' + std::to_string(i) + "," + std::to_string(i % 97) + "," +
              std::to_string(i % 1000) + ".25,'t" + std::to_string(i % 13) +
              "')";
     }

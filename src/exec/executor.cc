@@ -53,6 +53,23 @@ Result<Batch> RunPlanRoot(PlanNode* root, ExecContext* ctx,
 
 }  // namespace
 
+ExecContext MakeExecContext(storage::Database* db,
+                            const ExecOptions& options) {
+  ExecContext ctx;
+  ctx.db = db;
+  ctx.query_id = options.query_id;
+  ctx.process_id = options.process_id;
+  ctx.governor = options.governor;
+  ctx.snapshot_epoch = options.snapshot_epoch;
+  const int dop =
+      options.threads > 0 ? options.threads : ThreadPool::default_dop();
+  if (dop > 1) {
+    ctx.pool = ThreadPool::Shared();
+    ctx.dop = dop;
+  }
+  return ctx;
+}
+
 void SetDefaultVectorize(bool on) {
   g_default_vectorize.store(on, std::memory_order_relaxed);
 }
@@ -329,20 +346,9 @@ Result<ResultSet> Executor::ExecSelect(const sql::SelectStmt& select,
   }
 
   LDV_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(db_, *effective));
-  ExecContext ctx;
-  ctx.db = db_;
+  ExecContext ctx = MakeExecContext(db_, options);
   ctx.track_lineage = provenance;
   ctx.profile = options.profile;
-  ctx.query_id = options.query_id;
-  ctx.process_id = options.process_id;
-  ctx.governor = options.governor;
-  ctx.snapshot_epoch = options.snapshot_epoch;
-  const int dop =
-      options.threads > 0 ? options.threads : ThreadPool::default_dop();
-  if (dop > 1) {
-    ctx.pool = ThreadPool::Shared();
-    ctx.dop = dop;
-  }
   const int64_t exec_start = options.profile ? NowNanos() : 0;
   LDV_ASSIGN_OR_RETURN(Batch batch, RunPlanRoot(plan.root.get(), &ctx, options));
   ResultSet result;
@@ -386,20 +392,9 @@ Result<ResultSet> Executor::ExecSelect(const sql::SelectStmt& select,
 Result<ResultSet> Executor::ExecutePlanned(SelectPlan& plan,
                                            const Tuple& params,
                                            const ExecOptions& options) {
-  ExecContext ctx;
-  ctx.db = db_;
+  ExecContext ctx = MakeExecContext(db_, options);
   ctx.params = &params;
   ctx.frozen_plan = true;
-  ctx.query_id = options.query_id;
-  ctx.process_id = options.process_id;
-  ctx.governor = options.governor;
-  ctx.snapshot_epoch = options.snapshot_epoch;
-  const int dop =
-      options.threads > 0 ? options.threads : ThreadPool::default_dop();
-  if (dop > 1) {
-    ctx.pool = ThreadPool::Shared();
-    ctx.dop = dop;
-  }
   LDV_ASSIGN_OR_RETURN(Batch batch, RunPlanRoot(plan.root.get(), &ctx, options));
   ResultSet result;
   result.schema = plan.output_schema;  // copy: the plan stays shared

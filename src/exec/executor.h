@@ -68,10 +68,11 @@ struct ExecOptions {
   /// Collect per-operator stats and attach a QueryProfile to the result.
   bool profile = false;
   /// Degree of parallelism for morsel-driven operators: number of threads
-  /// (including the caller) a SELECT may use. 0 = the process default
+  /// (including the caller) a SELECT's operators or an UPDATE/DELETE's
+  /// matching scan may use. 0 = the process default
   /// (ThreadPool::default_dop(), i.e. the --threads flag), 1 = serial.
-  /// Results are bit-identical at any value. DML, reenactment, and WAL redo
-  /// always run serial regardless (DESIGN.md §10).
+  /// Results are bit-identical at any value. WAL redo pins 1 (DESIGN.md
+  /// §10).
   int threads = 0;
   /// Cooperative cancellation token + memory budget for this statement; may
   /// be null (internal statements run ungoverned). Owned by the caller and
@@ -85,6 +86,12 @@ struct ExecOptions {
   /// Results are bit-identical either way; this only selects the engine.
   int vectorize = 0;
 };
+
+/// The context a statement executes in under `options`: its client ids,
+/// governor, snapshot epoch and, at a resolved dop above 1, the shared
+/// worker pool. Lineage, profiling and parameters are the caller's to set.
+ExecContext MakeExecContext(storage::Database* db,
+                            const ExecOptions& options);
 
 /// Process-wide default for ExecOptions::vectorize == 0 (starts true).
 void SetDefaultVectorize(bool on);

@@ -30,6 +30,19 @@ struct SelectPlan {
 Result<SelectPlan> PlanSelect(storage::Database* db,
                               const sql::SelectStmt& select);
 
+/// Appends the top-level AND terms of `expr` (null = none) to `out`, left to
+/// right.
+void SplitConjuncts(const sql::Expr* expr,
+                    std::vector<const sql::Expr*>* out);
+
+/// The access-path picker shared by SELECT planning and DML matching: sets
+/// the hash-index probe on `scan` for the first of `conjuncts` (the scan
+/// filter's AND terms) that equates an indexed column of the scanned table
+/// with a literal coercible to the column type. Leaves `scan` unchanged when
+/// none does.
+void ChooseIndexProbe(ScanNode* scan,
+                      const std::vector<const sql::Expr*>& conjuncts);
+
 }  // namespace ldv::exec
 
 #endif  // LDV_EXEC_PLANNER_H_

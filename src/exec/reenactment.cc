@@ -1,6 +1,7 @@
 #include "exec/reenactment.h"
 
 #include "exec/expression.h"
+#include "exec/planner.h"
 
 namespace ldv::exec {
 
@@ -12,26 +13,6 @@ using storage::Value;
 
 namespace {
 
-/// Binds an expression against `table`'s scope (columns + prov pseudo
-/// columns, qualified by `alias`).
-Result<std::unique_ptr<BoundExpr>> BindAgainstTable(const sql::Expr& expr,
-                                                    const Table& table,
-                                                    const std::string& alias) {
-  Scope scope;
-  for (const storage::Column& c : table.schema().columns()) {
-    scope.Add({alias, c.name, c.type, /*hidden=*/false});
-  }
-  scope.Add({alias, std::string(storage::kProvRowIdColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  scope.Add({alias, std::string(storage::kProvVersionColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  scope.Add({alias, std::string(storage::kProvUsedByColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  scope.Add({alias, std::string(storage::kProvProcessColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  return BindExpr(expr, scope);
-}
-
 Tuple RowWithProvColumns(const RowVersion& row) {
   Tuple values = row.values;
   values.push_back(Value::Int(row.rowid));
@@ -41,66 +22,50 @@ Tuple RowWithProvColumns(const RowVersion& row) {
   return values;
 }
 
-/// Finds an equality between an indexed column of `table` and a literal in
-/// the top-level AND structure of `where`; returns (column, probe value) or
-/// column -1.
-std::pair<int, Value> FindIndexProbe(const Table& table,
-                                     const sql::Expr* where) {
-  if (where == nullptr) return {-1, Value::Null()};
-  if (where->kind == sql::ExprKind::kBinary &&
-      where->binary_op == sql::BinaryOp::kAnd) {
-    auto left = FindIndexProbe(table, where->children[0].get());
-    if (left.first >= 0) return left;
-    return FindIndexProbe(table, where->children[1].get());
+/// The scan that matches a DML statement's rows: `table` with its prov_*
+/// pseudo-columns (qualified by `alias`), filtered by `where` (null = every
+/// row) and probing the hash index when `where` allows it. Its scope is
+/// also the scope SET expressions bind against.
+Result<std::unique_ptr<ScanNode>> MatchScan(Table* table,
+                                            const std::string& alias,
+                                            const sql::Expr* where) {
+  auto scan = std::make_unique<ScanNode>(table, alias,
+                                         /*expose_prov_columns=*/true);
+  if (where != nullptr) {
+    LDV_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> filter,
+                         BindExpr(*where, scan->scope()));
+    scan->set_filter(std::move(filter));
+    std::vector<const sql::Expr*> conjuncts;
+    SplitConjuncts(where, &conjuncts);
+    ChooseIndexProbe(scan.get(), conjuncts);
   }
-  if (where->kind != sql::ExprKind::kBinary ||
-      where->binary_op != sql::BinaryOp::kEq) {
-    return {-1, Value::Null()};
-  }
-  for (int side = 0; side < 2; ++side) {
-    const sql::Expr* col = where->children[static_cast<size_t>(side)].get();
-    const sql::Expr* lit =
-        where->children[static_cast<size_t>(1 - side)].get();
-    if (col->kind != sql::ExprKind::kColumnRef ||
-        lit->kind != sql::ExprKind::kLiteral) {
-      continue;
-    }
-    int idx = table.schema().IndexOf(col->column);
-    if (idx < 0 || !table.HasIndexOn(idx)) continue;
-    Result<Value> coerced =
-        exec::CoerceValue(lit->literal, table.schema().column(idx).type);
-    if (!coerced.ok()) continue;
-    return {idx, std::move(coerced).value()};
-  }
-  return {-1, Value::Null()};
+  return scan;
 }
 
-/// Phase 1 of reenactment: evaluate the WHERE predicate against the
-/// pre-state and snapshot the matched versions. `probe` narrows the visited
-/// rows through the hash index when available.
-Result<std::vector<RowVersion>> MatchPreState(
-    Table* table, const BoundExpr* where,
-    const std::pair<int, Value>& probe) {
+/// Phase 1 of reenactment: runs the match scan over the live pre-state
+/// through the columnar kernel (at the statement's dop, under its governor)
+/// and snapshots the matched versions, read back through the prov_rowid
+/// column in storage order.
+Result<std::vector<RowVersion>> MatchPreState(storage::Database* db,
+                                              ScanNode* scan,
+                                              const ExecOptions& options) {
+  ExecContext ctx = MakeExecContext(db, options);
+  ctx.snapshot_epoch = 0;  // DML matches the live state
+  LDV_ASSIGN_OR_RETURN(ColumnarResult out, scan->ExecuteColumnar(&ctx));
+  const Table& table = *scan->table();
+  const size_t rowid_col = table.schema().columns().size();
   std::vector<RowVersion> matched;
-  auto consider = [&](const RowVersion& row) -> Status {
-    if (where != nullptr) {
-      Tuple values = RowWithProvColumns(row);
-      LDV_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, values));
-      if (!keep.IsTruthy()) return Status::Ok();
+  matched.reserve(out.NumRows());
+  for (size_t i = 0; i < out.NumRows(); ++i) {
+    const storage::RowId rowid =
+        out.columnar ? out.columns.cols[rowid_col].i64[i]
+                     : out.rows.rows[i][rowid_col].AsInt();
+    const RowVersion* row = table.Find(rowid);
+    if (row == nullptr) {
+      return Status::Internal(table.name() + ": matched row " +
+                              std::to_string(rowid) + " vanished");
     }
-    matched.push_back(row);
-    return Status::Ok();
-  };
-  if (probe.first >= 0) {
-    for (storage::RowId rowid : table->IndexLookup(probe.first, probe.second)) {
-      const RowVersion* row = table->Find(rowid);
-      if (row != nullptr) LDV_RETURN_IF_ERROR(consider(*row));
-    }
-    return matched;
-  }
-  for (const RowVersion& row : table->rows()) {
-    if (row.deleted) continue;
-    LDV_RETURN_IF_ERROR(consider(row));
+    matched.push_back(*row);
   }
   return matched;
 }
@@ -130,10 +95,8 @@ Result<ResultSet> ExecUpdate(storage::Database* db,
   const std::string& alias =
       update.alias.empty() ? update.table : update.alias;
 
-  std::unique_ptr<BoundExpr> where;
-  if (where_expr != nullptr) {
-    LDV_ASSIGN_OR_RETURN(where, BindAgainstTable(*where_expr, *table, alias));
-  }
+  LDV_ASSIGN_OR_RETURN(std::unique_ptr<ScanNode> scan,
+                       MatchScan(table, alias, where_expr));
   // Bind SET expressions (they may reference old column values).
   std::vector<std::pair<int, std::unique_ptr<BoundExpr>>> sets;
   for (const auto& [col_name, expr] : update.assignments) {
@@ -142,15 +105,14 @@ Result<ResultSet> ExecUpdate(storage::Database* db,
       return Status::NotFound(update.table + ": no column " + col_name);
     }
     LDV_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> bound,
-                         BindAgainstTable(*expr, *table, alias));
+                         BindExpr(*expr, scan->scope()));
     sets.emplace_back(idx, std::move(bound));
   }
 
   // Reenactment: retrieve the statement's provenance (the matched pre-state
   // versions) BEFORE mutating, per §VII-B.
-  LDV_ASSIGN_OR_RETURN(
-      std::vector<RowVersion> matched,
-      MatchPreState(table, where.get(), FindIndexProbe(*table, where_expr)));
+  LDV_ASSIGN_OR_RETURN(std::vector<RowVersion> matched,
+                       MatchPreState(db, scan.get(), options));
   LDV_RETURN_IF_ERROR(ChargePreState(options, matched));
 
   ResultSet result;
@@ -195,13 +157,10 @@ Result<ResultSet> ExecDelete(storage::Database* db, const sql::DeleteStmt& del,
     return Status::NotFound("no such table: " + del.table);
   }
   const std::string& alias = del.alias.empty() ? del.table : del.alias;
-  std::unique_ptr<BoundExpr> where;
-  if (where_expr != nullptr) {
-    LDV_ASSIGN_OR_RETURN(where, BindAgainstTable(*where_expr, *table, alias));
-  }
-  LDV_ASSIGN_OR_RETURN(
-      std::vector<RowVersion> matched,
-      MatchPreState(table, where.get(), FindIndexProbe(*table, where_expr)));
+  LDV_ASSIGN_OR_RETURN(std::unique_ptr<ScanNode> scan,
+                       MatchScan(table, alias, where_expr));
+  LDV_ASSIGN_OR_RETURN(std::vector<RowVersion> matched,
+                       MatchPreState(db, scan.get(), options));
   LDV_RETURN_IF_ERROR(ChargePreState(options, matched));
 
   ResultSet result;

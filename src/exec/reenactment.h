@@ -22,8 +22,10 @@ namespace ldv::exec {
 ///     be persisted into a package.
 /// `where` is the (possibly subquery-flattened) predicate to use; pass
 /// `update.where.get()` when no flattening was needed. May be null (all
-/// rows). When the predicate contains an equality between an indexed column
-/// and a literal, matching probes the hash index instead of scanning.
+/// rows). Matching runs through the same columnar ScanNode as SELECT, at the
+/// options' dop and under their governor; when the predicate contains an
+/// equality between an indexed column and a literal, the scan probes the
+/// hash index instead (the planner's access-path picker).
 Result<ResultSet> ExecUpdate(storage::Database* db,
                              const sql::UpdateStmt& update,
                              const sql::Expr* where, bool provenance,

@@ -62,6 +62,53 @@ ColumnarResult WrapRows(Batch&& rows) {
   return out;
 }
 
+/// Appends the sorted, distinct column indexes `expr` references to `out`.
+void CollectColumnIndexes(const BoundExpr& expr, std::vector<size_t>* out) {
+  if (expr.kind == sql::ExprKind::kColumnRef) {
+    const size_t c = static_cast<size_t>(expr.column_index);
+    auto it = std::lower_bound(out->begin(), out->end(), c);
+    if (it == out->end() || *it != c) out->insert(it, c);
+  }
+  for (const auto& child : expr.children) CollectColumnIndexes(*child, out);
+}
+
+/// Appends scan column `c` of `row` to `col`: a table column, or past the
+/// table's `base_cols` one of the prov_* pseudo-columns (rowid, version,
+/// usedby, process). False when a table cell is neither NULL nor exactly
+/// `col`'s type — the scan's strict-typing escape hatch.
+bool AppendScanCell(const RowVersion& row, size_t c, size_t base_cols,
+                    ColumnVector* col) {
+  if (c >= base_cols) {
+    const int64_t prov[] = {row.rowid, row.version, row.used_by_query,
+                            row.used_by_process};
+    col->AppendInt(prov[c - base_cols]);
+    return true;
+  }
+  const Value& v = row.values[c];
+  if (v.is_null()) {
+    col->AppendNull();
+    return true;
+  }
+  if (v.type() != col->type) return false;
+  switch (v.type()) {
+    case ValueType::kInt64:
+      col->AppendInt(v.AsInt());
+      break;
+    case ValueType::kDouble:
+      col->AppendDouble(v.AsDouble());
+      break;
+    case ValueType::kString:
+      // View into the row version's string storage; stable for the whole
+      // statement (the table is read-locked and lineage stamps touch only
+      // the integer usedby fields).
+      col->AppendStr(std::string_view(v.AsString()));
+      break;
+    case ValueType::kNull:
+      break;
+  }
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -140,7 +187,7 @@ Result<Batch> ColumnarToRows(ExecContext* ctx, OpStats* stats,
 }
 
 // ---------------------------------------------------------------------------
-// ScanNode: typed column extraction with the filter fused per morsel
+// ScanNode: filter-first typed column extraction per morsel
 // ---------------------------------------------------------------------------
 
 Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
@@ -155,18 +202,29 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
     return WrapRows(std::move(rows));
   }
 
-  const auto& schema_cols = table_->schema().columns();
-  const size_t base_cols = schema_cols.size();
+  const size_t base_cols = table_->schema().columns().size();
   const size_t ncols =
       base_cols + (expose_prov_columns_ ? size_t{4} : size_t{0});
   const bool lineage = ctx->track_lineage;
   std::vector<RowVersion>& rows = table_->mutable_rows();
   const size_t n = rows.size();
+  std::vector<ColumnVector> layout(ncols);
+  for (size_t c = 0; c < ncols; ++c) {
+    layout[c].type =
+        c < base_cols ? table_->schema().column(static_cast<int>(c)).type
+                      : ValueType::kInt64;
+  }
+  // Filter-first: phase 1 extracts only the columns the filter reads, phase
+  // 2 every output column of the rows it kept.
+  std::vector<size_t> filter_cols;
+  if (filter_ != nullptr) CollectColumnIndexes(*filter_, &filter_cols);
 
-  // Strict-typing escape hatch: the kernels require every cell to be NULL
-  // or exactly the schema type. A cell that deviates (legacy data, lax
-  // coercion) aborts the columnar attempt and the whole scan re-runs
+  // Strict-typing escape hatch: the kernels require every extracted cell to
+  // be NULL or exactly the schema type. A cell that deviates (legacy data,
+  // lax coercion) aborts the columnar attempt and the whole scan re-runs
   // row-at-a-time — correctness never depends on the data being clean.
+  // Cells the scan never extracts (non-filter columns of rows the filter
+  // drops) cannot affect the result, so they never abort it.
   std::atomic<bool> strict_abort{false};
 
   using ProvRecords = std::vector<std::pair<TupleVid, Tuple>>;
@@ -176,20 +234,20 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
 
   auto scan_morsel = [&](size_t begin, size_t end, size_t morsel) -> Status {
     if (strict_abort.load(std::memory_order_relaxed)) return Status::Ok();
-    // Resolve the visible version of each slot and extract its cells into
-    // morsel-local typed columns.
+    auto abort_columnar = [&] {
+      strict_abort.store(true, std::memory_order_relaxed);
+      return Status::Ok();
+    };
+    // Phase 1: resolve the visible version of each slot, extract the
+    // filter's columns and evaluate it into a selection of row versions.
     ColumnBatch cand;
     cand.cols.resize(ncols);
-    for (size_t c = 0; c < base_cols; ++c) {
-      cand.cols[c].type = schema_cols[c].type;
+    for (size_t c : filter_cols) {
+      cand.cols[c].type = layout[c].type;
       cand.cols[c].Reserve(end - begin);
     }
-    for (size_t c = base_cols; c < ncols; ++c) {
-      cand.cols[c].type = ValueType::kInt64;
-      cand.cols[c].Reserve(end - begin);
-    }
-    std::vector<RowVersion*> visible;
-    visible.reserve(end - begin);
+    std::vector<RowVersion*> selected;
+    selected.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       RowVersion* row = &rows[i];
       if (versioned) {
@@ -201,97 +259,50 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
       } else if (row->deleted) {
         continue;
       }
-      if (row->values.size() != base_cols) {
-        strict_abort.store(true, std::memory_order_relaxed);
-        return Status::Ok();
-      }
-      for (size_t c = 0; c < base_cols; ++c) {
-        const Value& v = row->values[c];
-        if (v.is_null()) {
-          cand.cols[c].AppendNull();
-          continue;
-        }
-        if (v.type() != schema_cols[c].type) {
-          strict_abort.store(true, std::memory_order_relaxed);
-          return Status::Ok();
-        }
-        switch (v.type()) {
-          case ValueType::kInt64:
-            cand.cols[c].AppendInt(v.AsInt());
-            break;
-          case ValueType::kDouble:
-            cand.cols[c].AppendDouble(v.AsDouble());
-            break;
-          case ValueType::kString:
-            // View into the row version's string storage; stable for the
-            // whole statement (the table is read-locked and lineage stamps
-            // touch only the integer usedby fields).
-            cand.cols[c].AppendStr(std::string_view(v.AsString()));
-            break;
-          case ValueType::kNull:
-            break;
+      if (row->values.size() != base_cols) return abort_columnar();
+      for (size_t c : filter_cols) {
+        if (!AppendScanCell(*row, c, base_cols, &cand.cols[c])) {
+          return abort_columnar();
         }
       }
-      if (expose_prov_columns_) {
-        // usedby/process are read BEFORE this statement stamps the row,
-        // exactly like the row path's EmitRow.
-        cand.cols[base_cols].AppendInt(row->rowid);
-        cand.cols[base_cols + 1].AppendInt(row->version);
-        cand.cols[base_cols + 2].AppendInt(row->used_by_query);
-        cand.cols[base_cols + 3].AppendInt(row->used_by_process);
-      }
-      visible.push_back(row);
+      selected.push_back(row);
     }
-    cand.num_rows = visible.size();
-
-    ColumnBatch& part = parts[morsel];
-    if (filter_ == nullptr && !lineage) {
-      part = std::move(cand);
-      return Status::Ok();
-    }
-    std::vector<uint8_t> keep;
     if (filter_ != nullptr) {
+      cand.num_rows = selected.size();
       ColumnVector pred;
       EvalVector(*filter_, cand, 0, cand.num_rows, ctx->params, &pred);
+      std::vector<uint8_t> keep;
       VectorTruthy(pred, &keep);
+      size_t kept = 0;
+      for (size_t k = 0; k < selected.size(); ++k) {
+        if (keep[k]) selected[kept++] = selected[k];
+      }
+      selected.resize(kept);
     }
-    auto stamp = [&](size_t k) {
-      RowVersion* row = visible[k];
-      TupleVid vid{table_->id(), row->rowid, row->version};
-      row->used_by_query = ctx->query_id;
-      row->used_by_process = ctx->process_id;
-      part.lineage.push_back({vid});
-      part_prov[morsel].emplace_back(vid, row->values);
-    };
-    if (filter_ == nullptr) {
-      part.cols = std::move(cand.cols);
-      part.num_rows = cand.num_rows;
-      part.lineage.reserve(part.num_rows);
-      for (size_t k = 0; k < part.num_rows; ++k) stamp(k);
-      return Status::Ok();
-    }
-    std::vector<size_t> sel;
-    sel.reserve(cand.num_rows);
-    for (size_t k = 0; k < cand.num_rows; ++k) {
-      if (keep[k]) sel.push_back(k);
-    }
-    if (sel.size() == cand.num_rows) {
-      // Filter kept everything: hand the candidate columns on as-is.
-      part.cols = std::move(cand.cols);
-    } else {
-      part.cols.resize(ncols);
+
+    // Phase 2: every output column, for the selected rows only. usedby and
+    // process are read BEFORE this statement stamps the row, exactly like
+    // the row path's EmitRow.
+    ColumnBatch& part = parts[morsel];
+    part.cols = layout;
+    for (ColumnVector& col : part.cols) col.Reserve(selected.size());
+    for (const RowVersion* row : selected) {
       for (size_t c = 0; c < ncols; ++c) {
-        ColumnVector& out_col = part.cols[c];
-        out_col.type = cand.cols[c].type;
-        out_col.ResizeZero(sel.size());
-        if (cand.cols[c].nulls.empty()) out_col.nulls.clear();  // stay dense
-        GatherColumnRange(cand.cols[c], sel.data(), sel.size(), 0, &out_col);
+        if (!AppendScanCell(*row, c, base_cols, &part.cols[c])) {
+          return abort_columnar();
+        }
       }
     }
-    part.num_rows = sel.size();
+    part.num_rows = selected.size();
     if (lineage) {
-      part.lineage.reserve(sel.size());
-      for (size_t k : sel) stamp(k);
+      part.lineage.reserve(selected.size());
+      for (RowVersion* row : selected) {
+        TupleVid vid{table_->id(), row->rowid, row->version};
+        row->used_by_query = ctx->query_id;
+        row->used_by_process = ctx->process_id;
+        part.lineage.push_back({vid});
+        part_prov[morsel].emplace_back(vid, row->values);
+      }
     }
     return Status::Ok();
   };

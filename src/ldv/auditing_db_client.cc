@@ -86,6 +86,7 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
                    : request.sql;
   tagged.process_id = process_id_;
   tagged.query_id = record.query_id;
+  tagged.run_nonce = auditor_->run_nonce();
 
   record.t.begin = auditor_->clock_.Tick();
   exec::ResultSet reenactment;
@@ -105,6 +106,7 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
     if (where != nullptr) reenact.sql += " WHERE " + where->ToString();
     reenact.process_id = process_id_;
     reenact.query_id = record.query_id;
+    reenact.run_nonce = tagged.run_nonce;
     LDV_ASSIGN_OR_RETURN(reenactment, backend_->Execute(reenact));
   }
   LDV_ASSIGN_OR_RETURN(exec::ResultSet result, backend_->Execute(tagged));

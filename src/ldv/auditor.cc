@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <random>
 
 #include "ldv/auditing_db_client.h"
 #include "obs/span.h"
@@ -32,6 +33,14 @@ trace::NodeType StatementNodeType(sql::StatementKind kind) {
 }
 
 std::string ProcessLabel(int64_t pid) { return "pid:" + std::to_string(pid); }
+
+/// A random, positive, non-zero 62-bit run nonce.
+int64_t DrawRunNonce() {
+  std::random_device device;
+  const uint64_t bits = (static_cast<uint64_t>(device()) << 32) ^ device() ^
+                        static_cast<uint64_t>(NowNanos());
+  return static_cast<int64_t>(bits >> 2) | 1;
+}
 
 /// Deterministic placeholder used when no real server binary is supplied.
 std::string PlaceholderServerBinary() {
@@ -89,6 +98,7 @@ Result<AuditReport> Auditor::Run(const AppFn& app) {
                                  options_.package_dir);
   }
   LDV_RETURN_IF_ERROR(MakeDirs(options_.package_dir));
+  run_nonce_ = DrawRunNonce();
 
   if (options_.mode == PackageMode::kPtu ||
       options_.mode == PackageMode::kVmImage) {

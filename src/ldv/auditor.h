@@ -110,6 +110,9 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   };
 
   int64_t NextQueryId() { return ++next_query_id_; }
+  /// This run's nonce, sent with every statement so a long-lived server's
+  /// dedup cache never answers it from another run's responses.
+  int64_t run_nonce() const { return run_nonce_; }
 
   /// First-touch registration of a table (the prototype's schema-extension
   /// moment, §VII-B): enables version archiving and records the schema.
@@ -139,6 +142,7 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   std::vector<std::unique_ptr<net::DbClient>> backends_;
 
   int64_t next_query_id_ = 0;
+  int64_t run_nonce_ = 0;
   // Tuple versions created by the application itself — excluded from the
   // package (§II / §VII-D).
   std::unordered_set<storage::TupleVid, storage::TupleVidHash> created_vids_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/executor.h"
 #include "obs/span.h"
 #include "storage/persistence.h"
 #include "util/csv.h"
@@ -47,8 +48,9 @@ Status Replayer::Initialize() {
       // needs to create the DB using the tuples included in the package"
       // (§IX-C) — the dominant Initialization cost of Fig. 7b.
       db_ = std::make_unique<storage::Database>();
-      engine_ = std::make_unique<net::EngineHandle>(db_.get());
       LDV_RETURN_IF_ERROR(RestoreIncludedTuples());
+      // The engine starts its committed epoch at the restored state.
+      engine_ = std::make_unique<net::EngineHandle>(db_.get());
       break;
     }
     case PackageMode::kPtu:
@@ -75,29 +77,11 @@ Status Replayer::Initialize() {
   return Status::Ok();
 }
 
-namespace {
-
-std::string SqlLiteral(const storage::Value& v) {
-  if (v.is_null()) return "NULL";
-  if (v.type() == storage::ValueType::kString) {
-    std::string escaped;
-    for (char c : v.AsString()) {
-      escaped.push_back(c);
-      if (c == '\'') escaped.push_back('\'');
-    }
-    return "'" + escaped + "'";
-  }
-  return v.ToText();
-}
-
-}  // namespace
-
 Status Replayer::RestoreIncludedTuples() {
   // Schema first (the packaged CREATE TABLE statements).
+  exec::Executor executor(db_.get());
   for (const PackageManifest::TableEntry& entry : manifest_.tables) {
-    net::DbRequest create;
-    create.sql = entry.create_sql;
-    LDV_RETURN_IF_ERROR(engine_->Execute(create).status());
+    LDV_RETURN_IF_ERROR(executor.Execute(entry.create_sql, {}).status());
   }
   int64_t max_version = 0;
   for (const PackageManifest::TableEntry& entry : manifest_.tables) {
@@ -137,21 +121,19 @@ Status Replayer::RestoreIncludedTuples() {
     // them (the DB is "reset to the state valid at the start", §I).
     std::sort(restored.begin(), restored.end(),
               [](const storage::RowVersion& a, const storage::RowVersion& b) {
-                return a.rowid < b.rowid;
+                return a.rowid != b.rowid ? a.rowid < b.rowid
+                                          : a.version < b.version;
               });
-    // The tuples go in through the regular SQL INSERT path — re-creating the
-    // DB from the package is real per-tuple work, which is why Fig. 7b's
-    // Initialization bar belongs almost entirely to server-included replay.
-    for (const storage::RowVersion& row : restored) {
-      std::string sql = "INSERT INTO " + entry.name + " VALUES (";
-      for (size_t c = 0; c < row.values.size(); ++c) {
-        if (c > 0) sql += ", ";
-        sql += SqlLiteral(row.values[c]);
-      }
-      sql += ")";
-      net::DbRequest insert;
-      insert.sql = std::move(sql);
-      LDV_RETURN_IF_ERROR(engine_->Execute(insert).status());
+    // Each tuple keeps its packaged (rowid, version), so replayed lineage
+    // names the tuple versions the audit's trace and tuple files name. A
+    // package holds two versions of one rowid only when another client
+    // changed the row during the audit; the replay starts from the older,
+    // pre-audit one.
+    storage::RowId last_rowid = 0;
+    for (storage::RowVersion& row : restored) {
+      if (row.rowid == last_rowid) continue;
+      last_rowid = row.rowid;
+      LDV_RETURN_IF_ERROR(table->RestoreRow(std::move(row)));
       ++report_.restored_tuples;
     }
   }

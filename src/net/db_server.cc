@@ -237,7 +237,7 @@ std::string DbServer::ExecuteDeduped(const DbRequest& request,
     for (const storage::Value& v : request.params) v.Serialize(&w);
     dedup_sql.append(w.TakeData());
   }
-  const DedupKey key{request.process_id, request.query_id,
+  const DedupKey key{request.process_id, request.query_id, request.run_nonce,
                      std::move(dedup_sql)};
   if (use_dedup) {
     std::unique_lock<std::mutex> lock(dedup_mu_);

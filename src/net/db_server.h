@@ -110,11 +110,13 @@ class DbServer {
     int fd = -1;
   };
 
-  /// (process_id, query_id, sql): the ids alone are not unique — the
-  /// auditing client tags a DML statement and its reenactment query with
-  /// the same query id — so the statement text disambiguates. A retry
-  /// resends identical text and still hits the cache.
-  using DedupKey = std::tuple<int64_t, int64_t, std::string>;
+  /// (process_id, query_id, run_nonce, sql): the ids alone are not unique
+  /// — the auditing client tags a DML statement and its reenactment query
+  /// with the same query id, and every audit run numbers its statements
+  /// from the same ids — so the run nonce and the statement text
+  /// disambiguate. A retry resends the identical request and still hits the
+  /// cache.
+  using DedupKey = std::tuple<int64_t, int64_t, int64_t, std::string>;
   /// Dedup cache entry; `done` flips once the response is recorded, so a
   /// concurrent duplicate waits instead of double-executing. Completed
   /// entries sit in dedup_lru_ ordered by last touch (record or replay);
@@ -135,8 +137,8 @@ class DbServer {
   /// Joins threads of connections that finished serving.
   void ReapFinished();
   void ApplyIoTimeouts(int fd);
-  /// Executes `request`, deduplicating on (process_id, query_id, sql) when
-  /// the request carries ids; returns the encoded response frame.
+  /// Executes `request`, deduplicating on (process_id, query_id, run_nonce,
+  /// sql) when the request carries ids; returns the encoded response frame.
   std::string ExecuteDeduped(const DbRequest& request, int64_t session_id);
   /// Drops completed dedup entries idle past the TTL. Caller holds
   /// dedup_mu_.

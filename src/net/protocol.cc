@@ -71,6 +71,7 @@ std::string EncodeRequest(const DbRequest& request) {
   w.PutVarint(request.timeout_millis);
   w.PutString(request.handle);
   EncodeTuple(request.params, &w);
+  if (request.run_nonce != 0) w.PutVarint(request.run_nonce);
   return w.TakeData();
 }
 
@@ -102,6 +103,10 @@ Result<DbRequest> DecodeRequest(std::string_view bytes) {
   }
   if (r.remaining() > 0) {
     LDV_ASSIGN_OR_RETURN(request.params, DecodeTuple(&r));
+  }
+  // Frames without a run nonce end here.
+  if (r.remaining() > 0) {
+    LDV_ASSIGN_OR_RETURN(request.run_nonce, r.GetVarint());
   }
   return request;
 }

@@ -78,6 +78,12 @@ struct DbRequest {
   /// Parameter values bound by kExecute, in placeholder order. Encoded as a
   /// trailing count + serialized values, absent on old frames.
   storage::Tuple params;
+  /// Nonce of the client run that assigned `process_id`/`query_id` (one per
+  /// Auditor run; 0 = none). Part of the server's dedup key, so two runs
+  /// that number their statements alike are never answered from each
+  /// other's cached responses. Encoded as a trailing varint only when
+  /// non-zero; absent on old frames, which decode as 0.
+  int64_t run_nonce = 0;
 };
 
 /// Binary encoding of requests/responses (varint-based, little-endian).

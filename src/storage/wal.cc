@@ -128,7 +128,11 @@ std::string EncodeWalRecord(const WalRecord& record) {
 }
 
 Result<WalSegmentScan> ScanWalSegment(const std::string& path) {
-  LDV_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  // Read through the Result rather than moving out of it: moving the string
+  // out trips a GCC 12 -O3 -Wmaybe-uninitialized false positive.
+  Result<std::string> file = ReadFileToString(path);
+  if (!file.ok()) return file.status();
+  const std::string& bytes = *file;
   WalSegmentScan scan;
   scan.file_bytes = bytes.size();
   if (bytes.size() < sizeof(kSegmentMagic) ||

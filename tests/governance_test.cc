@@ -52,7 +52,7 @@ void FillBigTable(DbClient* client) {
     std::string sql = "INSERT INTO big VALUES ";
     for (int i = base; i < base + kBatch; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 97) + "," +
+      sql += '(' + std::to_string(i) + "," + std::to_string(i % 97) + "," +
              std::to_string(i % 7) + ")";
     }
     ASSERT_TRUE(client->Query(sql).ok());

@@ -188,11 +188,11 @@ RandomTrace MakeRandomTrace(uint64_t seed) {
   int num_procs = static_cast<int>(rng.Uniform(2, 4));
   for (int i = 0; i < num_files; ++i) {
     t.files.push_back(
-        t.g.GetOrAddNode(NodeType::kFile, "f" + std::to_string(i)));
+        t.g.GetOrAddNode(NodeType::kFile, 'f' + std::to_string(i)));
   }
   for (int i = 0; i < num_procs; ++i) {
     t.processes.push_back(
-        t.g.GetOrAddNode(NodeType::kProcess, "p" + std::to_string(i)));
+        t.g.GetOrAddNode(NodeType::kProcess, 'p' + std::to_string(i)));
   }
   int num_edges = static_cast<int>(rng.Uniform(4, 12));
   for (int i = 0; i < num_edges; ++i) {

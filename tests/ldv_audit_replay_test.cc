@@ -191,6 +191,85 @@ TEST_F(AuditReplayTest, ServerIncludedReplayIsFaithful) {
   EXPECT_NE(out->find("threshold=50"), std::string::npos);
 }
 
+/// The one tuple version a provenance read of items.id = `id` names.
+Result<storage::TupleVid> LineageOfItem(exec::Executor* executor, int id) {
+  LDV_ASSIGN_OR_RETURN(
+      exec::ResultSet r,
+      executor->Execute(
+          "PROVENANCE SELECT id FROM items WHERE id = " + std::to_string(id),
+          {}));
+  if (r.lineage.size() != 1 || r.lineage[0].size() != 1) {
+    return Status::Internal("expected exactly one lineage entry");
+  }
+  return r.lineage[0][0];
+}
+
+TEST_F(AuditReplayTest, ServerIncludedReplayKeepsPackagedTupleIds) {
+  // Provenance reads of a row the app only reads (id 7) and of a row it
+  // updates (id 3, whose pre-audit version is packaged) name the same tuple
+  // versions in the audited database and in the replay's restored one.
+  exec::Executor audited(db_.get());
+  auto read_vid = LineageOfItem(&audited, 7);
+  auto updated_vid = LineageOfItem(&audited, 3);
+  ASSERT_TRUE(read_vid.ok() && updated_vid.ok());
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "ids"));
+  ASSERT_TRUE(auditor.Run(TestApp(nullptr)).ok());
+
+  ReplayOptions options;
+  options.package_dir = base_ + "/packages/ids";
+  options.scratch_dir = base_ + "/scratch/ids";
+  auto replayer = Replayer::Open(options);
+  ASSERT_TRUE(replayer.ok()) << replayer.status().ToString();
+  EXPECT_EQ((*replayer)->report().restored_tuples, 5);
+  exec::Executor replayed((*replayer)->restored_db());
+  auto replay_read_vid = LineageOfItem(&replayed, 7);
+  auto replay_updated_vid = LineageOfItem(&replayed, 3);
+  ASSERT_TRUE(replay_read_vid.ok() && replay_updated_vid.ok());
+  EXPECT_EQ(replay_read_vid->ToString(), read_vid->ToString());
+  EXPECT_EQ(replay_updated_vid->ToString(), updated_vid->ToString());
+}
+
+TEST_F(AuditReplayTest, ServerIncludedReplayRestoresThePreAuditVersion) {
+  // Another (unaudited) client updates a row between two audited reads of
+  // it, so the package holds two versions of one rowid. The replay starts
+  // from the pre-audit one.
+  exec::Executor other(db_.get());
+  auto pre_audit = LineageOfItem(&other, 7);
+  ASSERT_TRUE(pre_audit.ok());
+  AppFn app = [&other](AppEnv& env) -> Status {
+    LDV_ASSIGN_OR_RETURN(net::DbClient * db,
+                         env.OpenDbConnection(env.root_process()));
+    LDV_RETURN_IF_ERROR(
+        db->Query("SELECT val FROM items WHERE id = 7").status());
+    LDV_RETURN_IF_ERROR(
+        other.Execute("UPDATE items SET val = 700 WHERE id = 7", {})
+            .status());
+    return db->Query("SELECT val FROM items WHERE id = 7").status();
+  };
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "twice"));
+  ASSERT_TRUE(auditor.Run(app).ok());
+  auto csv = ReadFileToString(base_ + "/packages/twice/db/data/items.csv");
+  ASSERT_TRUE(csv.ok());
+  auto rows = ParseCsv(*csv);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[0][0], (*rows)[1][0]);  // one rowid, two versions
+
+  ReplayOptions options;
+  options.package_dir = base_ + "/packages/twice";
+  options.scratch_dir = base_ + "/scratch/twice";
+  auto replayer = Replayer::Open(options);
+  ASSERT_TRUE(replayer.ok()) << replayer.status().ToString();
+  EXPECT_EQ((*replayer)->report().restored_tuples, 1);
+  exec::Executor replayed((*replayer)->restored_db());
+  auto restored = LineageOfItem(&replayed, 7);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored->ToString(), pre_audit->ToString());
+  auto val = replayed.Execute("SELECT val FROM items WHERE id = 7", {});
+  ASSERT_TRUE(val.ok());
+  EXPECT_EQ(val->rows[0][0].AsInt(), 70);
+}
+
 TEST_F(AuditReplayTest, ServerExcludedReplayNeedsNoDatabase) {
   uint64_t original_fp = 0;
   Auditor auditor(db_.get(), Options(PackageMode::kServerExcluded, "exc"));

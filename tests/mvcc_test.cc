@@ -314,7 +314,7 @@ TEST(MvccEngineTest, ConcurrentReadsMatchSerialResultsBitForBit) {
     std::string sql = "INSERT INTO big VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 13) + "," +
+      sql += '(' + std::to_string(i) + "," + std::to_string(i % 13) + "," +
              std::to_string(i % 7) + ")";
     }
     ASSERT_TRUE(Exec(&engine, 0, sql).ok());
@@ -401,7 +401,7 @@ TEST(MvccEngineTest, TransfersPreserveTheSumUnderSnapshotReads) {
     std::string sql = "INSERT INTO accounts VALUES ";
     for (int i = 0; i < kAccounts; ++i) {
       if (i != 0) sql += ",";
-      sql += "(" + std::to_string(i) + ",100)";
+      sql += '(' + std::to_string(i) + ",100)";
     }
     ASSERT_TRUE(Exec(&engine, 0, sql).ok());
   }
@@ -549,7 +549,7 @@ TEST_F(MvccSocketTest, LongSelectsOverlapAcrossConnections) {
     std::string sql = "INSERT INTO big VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 7) + ")";
+      sql += '(' + std::to_string(i) + "," + std::to_string(i % 7) + ")";
     }
     ASSERT_TRUE(local.Query(sql).ok());
   }
@@ -753,7 +753,7 @@ TEST_F(MvccSocketTest, DisconnectWatcherHonorsConfiguredPollInterval) {
     std::string sql = "INSERT INTO big VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 7) + ")";
+      sql += '(' + std::to_string(i) + "," + std::to_string(i % 7) + ")";
     }
     ASSERT_TRUE(local.Query(sql).ok());
   }

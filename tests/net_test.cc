@@ -6,15 +6,22 @@
 
 #include <thread>
 
+#include "ldv/auditor.h"
 #include "net/db_client.h"
 #include "net/db_server.h"
 #include "net/protocol.h"
 #include "net/retrying_db_client.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/fsutil.h"
 
 namespace ldv::net {
 namespace {
+
+using ldv::AppEnv;
+using ldv::AuditOptions;
+using ldv::Auditor;
+using ldv::PackageMode;
 
 using storage::Database;
 using storage::Value;
@@ -93,6 +100,26 @@ TEST(ProtocolTest, RequestKindRoundTripsAndOldFramesDefaultToQuery) {
   encoded.pop_back();
   encoded.push_back('\x7f');
   EXPECT_FALSE(DecodeRequest(encoded).ok());
+}
+
+TEST(ProtocolTest, RunNonceRoundTripsAndIsAbsentWhenZero) {
+  DbRequest request;
+  request.sql = "UPDATE t SET a = 1";
+  request.process_id = 1;
+  request.query_id = 2;
+  const std::string without = EncodeRequest(request);
+  request.run_nonce = 0x2BADC0FFEE;
+  const std::string with = EncodeRequest(request);
+  // A zero nonce adds no bytes, so frames (and recorded replay logs) of
+  // clients without one stay byte-identical.
+  EXPECT_EQ(with.substr(0, without.size()), without);
+  EXPECT_GT(with.size(), without.size());
+  auto decoded = DecodeRequest(with);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->run_nonce, 0x2BADC0FFEE);
+  auto legacy = DecodeRequest(without);
+  ASSERT_TRUE(legacy.ok());
+  EXPECT_EQ(legacy->run_nonce, 0);
 }
 
 TEST(ProtocolTest, TimeoutFieldRoundTrips) {
@@ -473,6 +500,57 @@ TEST(RetryingDbClientTest, GovernanceVerdictsAreNotRetried) {
   }
   // Transport errors stay retryable (the pre-existing contract).
   EXPECT_TRUE(RetryingDbClient::IsRetryable(Status::IOError("socket reset")));
+}
+
+TEST(DbServerDedupTest, RepeatedAuditsOfOneAppEachExecuteTheirWrites) {
+  // Every audit numbers its statements from the same (pid, qid) ids. Against
+  // a long-lived server, a second audit of the same application must not be
+  // answered from the first audit's dedup-cached responses: both audits
+  // execute (and log) all of their writes.
+  auto dir = MakeTempDir("ldv_dedup_audit_");
+  ASSERT_TRUE(dir.ok());
+  Database db;
+  EngineHandle engine(&db);
+  LocalDbClient setup(&engine);
+  ASSERT_TRUE(setup.Query("CREATE TABLE t (id INT, note TEXT)").ok());
+  ASSERT_TRUE(setup.Query("INSERT INTO t VALUES (1, 'a'), (2, 'b')").ok());
+  storage::WalOptions wal_options;
+  wal_options.sync_mode = storage::WalSyncMode::kNone;
+  auto wal = storage::Wal::Open(*dir + "/wal", wal_options, 1);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  engine.AttachWal(std::move(*wal), EngineDurabilityOptions{});
+  DbServer server(&engine, *dir + "/db.sock");
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kWritesPerAudit = 3;
+  auto app = [](AppEnv& env) -> Status {
+    LDV_ASSIGN_OR_RETURN(DbClient * client,
+                         env.OpenDbConnection(env.root_process()));
+    LDV_RETURN_IF_ERROR(
+        client->Query("INSERT INTO t VALUES (3, 'c')").status());
+    LDV_RETURN_IF_ERROR(client->Query("SELECT * FROM t").status());
+    LDV_RETURN_IF_ERROR(
+        client->Query("UPDATE t SET note = 'u' WHERE id = 1").status());
+    return client->Query("DELETE FROM t WHERE id = 3").status();
+  };
+  obs::Counter* commits =
+      obs::MetricsRegistry::Global().counter("wal.commits");
+  const int64_t before = commits->Value();
+  for (int run = 0; run < 2; ++run) {
+    AuditOptions options;
+    options.mode = PackageMode::kServerIncluded;
+    options.package_dir = *dir + "/pkg" + std::to_string(run);
+    options.sandbox_root = *dir + "/sandbox";
+    options.db_socket_path = server.socket_path();
+    Auditor auditor(&db, options);
+    auto report = auditor.Run(app);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(commits->Value() - before, kWritesPerAudit * (run + 1))
+        << "audit " << run;
+  }
+  EXPECT_EQ(server.deduped_requests(), 0);
+  server.Stop();
+  ASSERT_TRUE(RemoveAll(*dir).ok());
 }
 
 TEST(SocketDbClientTest, ConnectFailure) {

@@ -183,7 +183,7 @@ TEST_F(PreparedTest, CapacityZeroDisablesCachingAndCapacityBoundsEntries) {
   cache.set_capacity(2);
   const int64_t evictions_before = CounterValue("plan_cache.evict");
   for (int i = 0; i < 4; ++i) {
-    const std::string name = "q" + std::to_string(i);
+    const std::string name = 'q' + std::to_string(i);
     ASSERT_TRUE(Exec(engine_.get(),
                      "PREPARE " + name + " AS SELECT val FROM t WHERE id < ? "
                      "AND val < " + std::to_string(100 + i))

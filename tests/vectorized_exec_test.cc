@@ -106,7 +106,7 @@ class VectorizedExecTest : public ::testing::Test {
     std::string insert = "INSERT INTO grps VALUES ";
     for (int g = 0; g < 37; ++g) {
       if (g > 0) insert += ", ";
-      insert += "(" + std::to_string(g) + ", 'g" + std::to_string(g % 7) +
+      insert += '(' + std::to_string(g) + ", 'g" + std::to_string(g % 7) +
                 "', " + std::to_string(g) + ".5)";
     }
     (void)Run(insert, 1, -1);

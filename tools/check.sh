@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build and run the full test suite twice — once
 # plain, once instrumented with AddressSanitizer + UndefinedBehaviorSanitizer
-# (see the LDV_SANITIZE option in the top-level CMakeLists.txt).
+# (see the LDV_SANITIZE option in the top-level CMakeLists.txt) — and build
+# the Release (-O3) configuration in between.
 #
 # --bench-smoke additionally runs bench_micro and bench_concurrent once,
 # asserts the disabled-instrumentation overhead bound (<2%, see DESIGN.md
@@ -116,6 +117,12 @@ if [[ "$REPL_TORTURE_ITERS" -gt 0 ]]; then
   ./build/tools/crash_torture --repl --iters "$REPL_TORTURE_ITERS" \
     --threads 3 --units 25 --seed "${TORTURE_SEED:-42}"
 fi
+
+echo "== release build =="
+# -O3 under -Werror surfaces optimizer-only warnings that the default
+# RelWithDebInfo (-O2) build never sees; building is the check.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j
 
 echo "== asan+ubsan build =="
 cmake -B build-san -S . -DLDV_SANITIZE=address,undefined >/dev/null

@@ -109,7 +109,7 @@ Flags ParseFlags(int argc, char** argv, int start) {
       break;
     }
     if (arg == "--no-vectorize") {  // valueless: takes no operand
-      flags.named["no-vectorize"] = "1";
+      flags.named["no-vectorize"] = '1';
       continue;
     }
     if (arg.rfind("--", 0) == 0 && i + 1 < argc) {
